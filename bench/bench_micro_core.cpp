@@ -297,17 +297,25 @@ void BM_HyperLogLogAdd(benchmark::State& state) {
 BENCHMARK(BM_HyperLogLogAdd);
 
 /// Ablation: hybrid exact->HLL estimator vs plain exact set at increasing
-/// per-event destination counts.
+/// per-event destination counts. The second argument is the key bound
+/// (0 = unbounded, the sparse table throughout; 32768 = the paper-scaled
+/// /17 darknet, where the exact phase switches to the dense bitmap),
+/// with keys scattered over the bound the way dark-space offsets are.
 void BM_CardinalityEstimatorAdd(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
+  const auto bound = static_cast<std::uint64_t>(state.range(1));
   for (auto _ : state) {
-    stats::CardinalityEstimator est(4096, 12);
-    for (std::uint64_t i = 0; i < n; ++i) est.add(i * 2654435761ull);
+    stats::CardinalityEstimator est(4096, 12, bound);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const std::uint64_t key = i * 2654435761ull;
+      est.add(bound == 0 ? key : key % bound);
+    }
     benchmark::DoNotOptimize(est.estimate());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_CardinalityEstimatorAdd)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_CardinalityEstimatorAdd)
+    ->ArgsProduct({{1000, 10000, 100000}, {0, 32768}});
 
 void BM_ExactSetAdd(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));

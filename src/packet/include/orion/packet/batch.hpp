@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "orion/netbase/aligned.hpp"
 #include "orion/packet/fingerprint.hpp"
@@ -25,6 +26,26 @@ namespace orion::pkt {
 
 static_assert(net::kColumnAlignment >= 64,
               "SIMD batch kernels assume cache-line-aligned columns");
+
+/// Appends in[rows[0]], in[rows[1]], ... to `out` — one column of a
+/// row gather. Shared by PacketBatch::append_rows and the pipeline's
+/// membership side-channel so every gathered column moves the same way.
+template <typename Vec>
+void gather_append(Vec& out, const typename Vec::value_type* in,
+                   std::span<const std::uint32_t> rows) {
+  const std::size_t base = out.size();
+  out.resize(base + rows.size());
+  typename Vec::value_type* dst = out.data() + base;
+  for (std::size_t j = 0; j < rows.size(); ++j) dst[j] = in[rows[j]];
+}
+
+/// Appends in[first, first + count) to `out`.
+template <typename Vec>
+void range_append(Vec& out, const Vec& in, std::size_t first,
+                  std::size_t count) {
+  out.insert(out.end(), in.begin() + static_cast<std::ptrdiff_t>(first),
+             in.begin() + static_cast<std::ptrdiff_t>(first + count));
+}
 
 class PacketBatch {
  public:
@@ -84,22 +105,43 @@ class PacketBatch {
     wire_len_.push_back(p.wire_length);
   }
 
-  /// Copies record i of another batch onto the end of this one (used by the
-  /// dispatcher to scatter a generator batch into per-shard batches).
-  void append_record(const PacketBatch& other, std::size_t i) {
-    ts_ns_.push_back(other.ts_ns_[i]);
-    src_.push_back(other.src_[i]);
-    dst_.push_back(other.dst_[i]);
-    src_port_.push_back(other.src_port_[i]);
-    dst_port_.push_back(other.dst_port_[i]);
-    proto_.push_back(other.proto_[i]);
-    tcp_flags_.push_back(other.tcp_flags_[i]);
-    icmp_type_.push_back(other.icmp_type_[i]);
-    ttl_.push_back(other.ttl_[i]);
-    ip_id_.push_back(other.ip_id_[i]);
-    tcp_window_.push_back(other.tcp_window_[i]);
-    tcp_seq_.push_back(other.tcp_seq_[i]);
-    wire_len_.push_back(other.wire_len_[i]);
+  /// Appends the records of `other` at positions `rows`, in that order —
+  /// the dispatcher's column gather (DESIGN.md §17.2): each column is
+  /// copied in one tight indexed loop instead of 13 push_backs per record.
+  void append_rows(const PacketBatch& other,
+                   std::span<const std::uint32_t> rows) {
+    gather_append(ts_ns_, other.ts_ns_.data(), rows);
+    gather_append(src_, other.src_.data(), rows);
+    gather_append(dst_, other.dst_.data(), rows);
+    gather_append(src_port_, other.src_port_.data(), rows);
+    gather_append(dst_port_, other.dst_port_.data(), rows);
+    gather_append(proto_, other.proto_.data(), rows);
+    gather_append(tcp_flags_, other.tcp_flags_.data(), rows);
+    gather_append(icmp_type_, other.icmp_type_.data(), rows);
+    gather_append(ttl_, other.ttl_.data(), rows);
+    gather_append(ip_id_, other.ip_id_.data(), rows);
+    gather_append(tcp_window_, other.tcp_window_.data(), rows);
+    gather_append(tcp_seq_, other.tcp_seq_.data(), rows);
+    gather_append(wire_len_, other.wire_len_.data(), rows);
+  }
+
+  /// Appends records [first, first + count) of `other`: a straight column
+  /// append (the one-shard dispatcher and re-chunking).
+  void append_range(const PacketBatch& other, std::size_t first,
+                    std::size_t count) {
+    range_append(ts_ns_, other.ts_ns_, first, count);
+    range_append(src_, other.src_, first, count);
+    range_append(dst_, other.dst_, first, count);
+    range_append(src_port_, other.src_port_, first, count);
+    range_append(dst_port_, other.dst_port_, first, count);
+    range_append(proto_, other.proto_, first, count);
+    range_append(tcp_flags_, other.tcp_flags_, first, count);
+    range_append(icmp_type_, other.icmp_type_, first, count);
+    range_append(ttl_, other.ttl_, first, count);
+    range_append(ip_id_, other.ip_id_, first, count);
+    range_append(tcp_window_, other.tcp_window_, first, count);
+    range_append(tcp_seq_, other.tcp_seq_, first, count);
+    range_append(wire_len_, other.wire_len_, first, count);
   }
 
   /// Reassembles record i as a Packet — the exact inverse of push_back.

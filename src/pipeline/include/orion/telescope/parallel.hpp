@@ -6,8 +6,13 @@
 // one PrefixSet::contains_batch call (the DESIGN.md §14 SIMD kernel) per
 // incoming batch, scattered as a 0/1 side-channel column next to the
 // records — so shard aggregators consume membership instead of
-// recomputing it per shard batch. Workers drain whole spans of batches
-// per ring handshake
+// recomputing it per shard batch. The scatter itself is columnar
+// (DESIGN.md §17.2): each record's shard is computed once, a counting
+// sort groups the row indices by shard, and every column is gathered
+// into the shard's pending batch in one tight loop (one shard: a
+// straight column append), cut at batch_size exactly where a
+// record-at-a-time scatter would cut. Workers drain whole spans of
+// batches per ring handshake
 // (SpscRing::try_pop_n) and feed them to the shard aggregator's batched
 // engine (EventAggregator::observe_batch). Each shard owns a full
 // EventAggregator plus a ShardDetectorSlice, so every per-source quantity
@@ -149,10 +154,13 @@ class ParallelPipeline {
   /// std::invalid_argument from the dispatcher before dispatch.
   void observe(const pkt::Packet& packet);
 
-  /// Feeds a whole columnar batch: each record is scattered into its
-  /// shard's pending batch without reassembling Packet structs. Results
-  /// are identical to calling observe() per record; the whole batch is
-  /// validated for monotonicity before any record is dispatched.
+  /// Feeds a whole columnar batch: the records are column-gathered into
+  /// their shards' pending batches without reassembling Packet structs.
+  /// Results — and the batches each shard receives — are identical to
+  /// calling observe() per record; the whole batch is validated for
+  /// monotonicity before any record is dispatched. At most 2^32 − 1
+  /// records per call (std::length_error beyond; the row indices are
+  /// 32-bit).
   void observe_batch(const pkt::PacketBatch& batch);
 
   /// Flushes, stops and joins the workers, then merges shard state into
@@ -242,6 +250,10 @@ class ParallelPipeline {
   /// replay log (replayed batches are already logged and pass false).
   bool push_batch(Shard& shard, Batch&& batch, bool log);
   void dispatch_pending(Shard& shard);
+  /// Appends `count` records to the shard's pending batch through
+  /// append(first, take), cutting a batch_size batch whenever it fills.
+  template <typename AppendFn>
+  void fill_pending(Shard& shard, std::size_t count, AppendFn&& append);
   void flush_pending();
   /// Blocks until every pushed batch has been consumed, healing dead
   /// workers along the way.
@@ -272,6 +284,12 @@ class ParallelPipeline {
   /// Whole-batch membership scratch for observe_batch's vectorized
   /// contains_batch call (reused; no steady-state allocation).
   std::vector<std::uint8_t> member_scratch_;
+  /// observe_batch's routing scratch (reused): each record's shard, the
+  /// row indices grouped by shard, and each group's [start, end) bounds.
+  std::vector<std::uint32_t> route_shard_;
+  std::vector<std::uint32_t> route_rows_;
+  std::vector<std::size_t> route_start_;
+  std::vector<std::size_t> route_fill_;
 
   PipelineHealth health_;
   net::SimTime last_timestamp_;

@@ -404,6 +404,9 @@ void ParallelPipeline::observe_batch(const pkt::PacketBatch& batch) {
   }
   const std::size_t n = batch.size();
   if (n == 0) return;
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("ParallelPipeline::observe_batch: batch too large");
+  }
   // Whole-batch monotonicity validation before any record is dispatched
   // (the same strengthening as EventAggregator::observe_batch).
   std::int64_t prev = saw_packet_
@@ -427,10 +430,57 @@ void ParallelPipeline::observe_batch(const pkt::PacketBatch& batch) {
   member_scratch_.resize(n);
   dark_space_.contains_batch(batch.dst_col().data(), n, member_scratch_.data());
 
+  // Column scatter (DESIGN.md §17.2). One shard takes the batch as a
+  // straight column append; otherwise each record's shard is computed
+  // once, a stable counting sort groups the row indices by shard, and
+  // each shard gathers its rows column by column. Either way every shard
+  // sees its records in stream order, cut into the same batch_size
+  // batches as a record-at-a-time scatter would cut them.
+  if (shards_.size() == 1) {
+    Shard& shard = *shards_[0];
+    fill_pending(shard, n, [&](std::size_t first, std::size_t count) {
+      shard.pending.append_range(batch, first, count);
+      pkt::range_append(shard.pending_member, member_scratch_, first, count);
+    });
+    return;
+  }
+  const std::size_t shard_count = shards_.size();
+  route_shard_.resize(n);
+  route_start_.assign(shard_count + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    Shard& shard = *shards_[net::shard_of(batch.src(i), config_.shards)];
-    shard.pending.append_record(batch, i);
-    shard.pending_member.push_back(member_scratch_[i]);
+    const auto s = static_cast<std::uint32_t>(net::shard_of(batch.src(i), shard_count));
+    route_shard_[i] = s;
+    ++route_start_[s + 1];
+  }
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    route_start_[s + 1] += route_start_[s];
+  }
+  route_rows_.resize(n);
+  route_fill_.assign(route_start_.begin(), route_start_.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    route_rows_[route_fill_[route_shard_[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    Shard& shard = *shards_[s];
+    const std::span<const std::uint32_t> rows(
+        route_rows_.data() + route_start_[s], route_start_[s + 1] - route_start_[s]);
+    fill_pending(shard, rows.size(), [&](std::size_t first, std::size_t count) {
+      const auto part = rows.subspan(first, count);
+      shard.pending.append_rows(batch, part);
+      pkt::gather_append(shard.pending_member, member_scratch_.data(), part);
+    });
+  }
+}
+
+template <typename AppendFn>
+void ParallelPipeline::fill_pending(Shard& shard, std::size_t count,
+                                    AppendFn&& append) {
+  std::size_t done = 0;
+  while (done < count) {
+    const std::size_t take =
+        std::min(config_.batch_size - shard.pending.size(), count - done);
+    append(done, take);
+    done += take;
     if (shard.pending.size() >= config_.batch_size) dispatch_pending(shard);
   }
 }

@@ -46,6 +46,7 @@ class Client {
 
   int fd_ = -1;
   std::vector<std::uint8_t> inbuf_;
+  std::size_t inpos_ = 0;  // parse cursor: inbuf_[0, inpos_) is consumed
 };
 
 }  // namespace orion::serve

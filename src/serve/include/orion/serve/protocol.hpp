@@ -151,12 +151,15 @@ bool decode_response(std::span<const std::uint8_t> payload,
 void append_frame(std::vector<std::uint8_t>& out,
                   std::span<const std::uint8_t> payload);
 
-/// Incremental frame extraction over an accumulation buffer. Returns
+/// Incremental frame extraction at the front of `buffer` (the unparsed
+/// rest of an accumulation buffer). Returns
 ///   +1  a complete frame: [*begin, *end) of `buffer` is the payload
 ///    0  need more bytes
 ///   -1  protocol violation (oversized length prefix) — drop the peer
-/// Consumed frames are the caller's to erase (begin is 4, the prefix).
-int try_extract_frame(const std::vector<std::uint8_t>& buffer,
+/// Callers parse in place by advancing a cursor past *end (begin is 4,
+/// the prefix), so a pipelined burst of k frames costs O(bytes), not
+/// O(k × bytes).
+int try_extract_frame(std::span<const std::uint8_t> buffer,
                       std::size_t* begin, std::size_t* end);
 
 /// The batching identity of a request: canonical bytes of everything

@@ -25,13 +25,16 @@ namespace {
 Client::~Client() { close(); }
 
 Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), inbuf_(std::move(other.inbuf_)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      inbuf_(std::move(other.inbuf_)),
+      inpos_(std::exchange(other.inpos_, 0)) {}
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     inbuf_ = std::move(other.inbuf_);
+    inpos_ = std::exchange(other.inpos_, 0);
   }
   return *this;
 }
@@ -59,6 +62,7 @@ void Client::connect(const std::string& host, std::uint16_t port) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   fd_ = fd;
   inbuf_.clear();
+  inpos_ = 0;
 }
 
 void Client::close() {
@@ -67,6 +71,7 @@ void Client::close() {
     fd_ = -1;
   }
   inbuf_.clear();
+  inpos_ = 0;
 }
 
 void Client::write_all(const std::uint8_t* data, std::size_t size) {
@@ -93,14 +98,25 @@ std::vector<std::uint8_t> Client::recv_raw() {
   for (;;) {
     std::size_t begin = 0;
     std::size_t end = 0;
-    const int got = try_extract_frame(inbuf_, &begin, &end);
+    const std::span<const std::uint8_t> rest =
+        std::span<const std::uint8_t>(inbuf_).subspan(inpos_);
+    const int got = try_extract_frame(rest, &begin, &end);
     if (got < 0) throw std::runtime_error("serve client: oversized frame");
     if (got > 0) {
-      std::vector<std::uint8_t> payload(inbuf_.begin() + begin,
-                                        inbuf_.begin() + end);
-      inbuf_.erase(inbuf_.begin(), inbuf_.begin() + end);
+      std::vector<std::uint8_t> payload(rest.begin() + begin, rest.begin() + end);
+      // Advance the cursor; pipelined responses already buffered are
+      // parsed in place, never shifted down frame by frame.
+      inpos_ += end;
+      if (inpos_ == inbuf_.size()) {
+        inbuf_.clear();
+        inpos_ = 0;
+      }
       return payload;
     }
+    // Only a partial frame is left: drop the consumed prefix once before
+    // reading more.
+    inbuf_.erase(inbuf_.begin(), inbuf_.begin() + static_cast<std::ptrdiff_t>(inpos_));
+    inpos_ = 0;
     std::uint8_t chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {

@@ -201,14 +201,13 @@ struct Daemon::Impl {
   }
 
   void on_frame(std::uint64_t conn_id, Conn& conn,
-                const std::uint8_t* payload, std::size_t size) {
+                std::span<const std::uint8_t> payload) {
     const std::uint64_t seq = conn.next_assign++;
     bump(&ServeStats::requests);
 
     QueryRequest request;
     std::string error;
-    if (!decode_request(std::vector<std::uint8_t>(payload, payload + size),
-                        request, error)) {
+    if (!decode_request(payload, request, error)) {
       bump(&ServeStats::bad_requests);
       QueryResponse resp;
       resp.status = Status::BadRequest;
@@ -255,19 +254,21 @@ struct Daemon::Impl {
       peer_closed = true;  // EOF or hard error
       break;
     }
+    // Parse in place: a cursor walks the buffered frames and the consumed
+    // prefix is erased once, so a pipelined burst costs O(bytes).
+    const std::span<const std::uint8_t> input(conn.inbuf);
     std::size_t consumed = 0;
     for (;;) {
       std::size_t begin = 0;
       std::size_t end = 0;
-      std::vector<std::uint8_t> window(conn.inbuf.begin() + consumed,
-                                       conn.inbuf.end());
-      const int got = try_extract_frame(window, &begin, &end);
+      const std::span<const std::uint8_t> rest = input.subspan(consumed);
+      const int got = try_extract_frame(rest, &begin, &end);
       if (got < 0) {  // oversized frame: protocol violation, drop the peer
         close_conn(conn_id);
         return;
       }
       if (got == 0) break;
-      on_frame(conn_id, conn, window.data() + begin, end - begin);
+      on_frame(conn_id, conn, rest.subspan(begin, end - begin));
       consumed += end;
     }
     if (consumed > 0) {

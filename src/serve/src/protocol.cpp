@@ -276,7 +276,7 @@ void append_frame(std::vector<std::uint8_t>& out,
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
-int try_extract_frame(const std::vector<std::uint8_t>& buffer,
+int try_extract_frame(std::span<const std::uint8_t> buffer,
                       std::size_t* begin, std::size_t* end) {
   if (buffer.size() < 4) return 0;
   std::uint32_t len = 0;

@@ -3,32 +3,15 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace orion::stats {
-
-std::uint64_t hll_hash(std::uint64_t key) {
-  // SplitMix64 finalizer: full-avalanche 64-bit mix.
-  std::uint64_t z = key + 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 HyperLogLog::HyperLogLog(int precision) : precision_(precision) {
   if (precision < 4 || precision > 18) {
     throw std::invalid_argument("HyperLogLog: precision must be in [4, 18]");
   }
   registers_.assign(std::size_t{1} << precision, 0);
-}
-
-void HyperLogLog::add(std::uint64_t hash) {
-  const std::size_t index = hash >> (64 - precision_);
-  const std::uint64_t rest = hash << precision_;
-  // Rank = position of the leftmost 1-bit in the remaining bits, 1-based;
-  // all-zero remainder gets the maximum rank.
-  const int rank =
-      rest == 0 ? 64 - precision_ + 1 : std::countl_zero(rest) + 1;
-  if (registers_[index] < rank) registers_[index] = static_cast<std::uint8_t>(rank);
 }
 
 double HyperLogLog::estimate() const {
@@ -69,59 +52,99 @@ void HyperLogLog::merge(const HyperLogLog& other) {
 }
 
 CardinalityEstimator::CardinalityEstimator(std::size_t exact_limit,
-                                           int hll_precision)
+                                           int hll_precision,
+                                           std::uint64_t key_bound)
     : exact_limit_(exact_limit),
       hll_precision_(hll_precision),
+      key_bound_(key_bound),
       sketch_(hll_precision) {}
 
-void CardinalityEstimator::insert_exact(std::uint64_t key) {
-  // Grow at 3/4 load (counting only the keys stored in slots_).
+namespace {
+
+/// 64-bit words in a bitmap over [0, bound).
+std::size_t bitmap_words(std::uint64_t bound) {
+  return static_cast<std::size_t>(bound / 64 + (bound % 64 != 0 ? 1 : 0));
+}
+
+}  // namespace
+
+void CardinalityEstimator::reject_key(std::uint64_t key) const {
+  throw std::out_of_range("CardinalityEstimator: key " + std::to_string(key) +
+                          " outside the key bound " +
+                          std::to_string(key_bound_));
+}
+
+void CardinalityEstimator::insert_sparse(std::uint64_t key) {
+  // Grow at 3/4 load (counting only the keys stored in table_). A growth
+  // that would outsize the key-bound bitmap switches to the bitmap.
   const std::size_t stored = exact_size_ - (has_zero_ ? 1 : 0);
-  if (slots_.empty() || (stored + 1) * 4 > slots_.size() * 3) {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, 0);
-    const std::size_t mask = slots_.size() - 1;
+  if (table_.empty() || (stored + 1) * 4 > table_.size() * 3) {
+    const std::size_t grown = table_.empty() ? 16 : table_.size() * 2;
+    if (key_bound_ != 0 && grown > bitmap_words(key_bound_)) {
+      densify();
+      add(key);  // the dense path (it may promote; the caller's check is then moot)
+      return;
+    }
+    std::vector<std::uint64_t> old = std::move(table_);
+    table_.assign(grown, 0);
+    const std::size_t mask = table_.size() - 1;
     for (const std::uint64_t k : old) {
       if (k == 0) continue;
       std::size_t i = hll_hash(k) & mask;
-      while (slots_[i] != 0) i = (i + 1) & mask;
-      slots_[i] = k;
+      while (table_[i] != 0) i = (i + 1) & mask;
+      table_[i] = k;
     }
   }
-  const std::size_t mask = slots_.size() - 1;
+  const std::size_t mask = table_.size() - 1;
   std::size_t i = hll_hash(key) & mask;
-  while (slots_[i] != 0) {
-    if (slots_[i] == key) return;
+  while (table_[i] != 0) {
+    if (table_[i] == key) return;
     i = (i + 1) & mask;
   }
-  slots_[i] = key;
+  table_[i] = key;
   ++exact_size_;
 }
 
-void CardinalityEstimator::promote() {
-  for (const std::uint64_t k : slots_) {
-    if (k != 0) sketch_.add(hll_hash(k));
+void CardinalityEstimator::densify() {
+  std::vector<std::uint64_t> bits(bitmap_words(key_bound_), 0);
+  for (const std::uint64_t k : table_) {
+    if (k != 0) bits[k >> 6] |= std::uint64_t{1} << (k & 63);
   }
-  if (has_zero_) sketch_.add(hll_hash(0));
-  slots_.clear();
-  slots_.shrink_to_fit();
+  if (has_zero_) bits[0] |= 1;
   has_zero_ = false;
-  exact_size_ = 0;
-  promoted_ = true;
+  table_ = std::move(bits);
+  phase_ = Phase::Dense;
 }
 
-void CardinalityEstimator::add(std::uint64_t key) {
-  if (promoted_) {
-    sketch_.add(hll_hash(key));
-    return;
+void CardinalityEstimator::promote() {
+  if (phase_ == Phase::Dense) {
+    for (std::size_t w = 0; w < table_.size(); ++w) {
+      for (std::uint64_t bits = table_[w]; bits != 0; bits &= bits - 1) {
+        sketch_.add(hll_hash(w * 64 + static_cast<std::uint64_t>(
+                                          std::countr_zero(bits))));
+      }
+    }
+  } else {
+    for (const std::uint64_t k : table_) {
+      if (k != 0) sketch_.add(hll_hash(k));
+    }
+    if (has_zero_) sketch_.add(hll_hash(0));
   }
+  table_.clear();
+  table_.shrink_to_fit();
+  has_zero_ = false;
+  exact_size_ = 0;
+  phase_ = Phase::Sketch;
+}
+
+void CardinalityEstimator::add_sparse(std::uint64_t key) {
   if (key == 0) {
     if (!has_zero_) {
       has_zero_ = true;
       ++exact_size_;
     }
   } else {
-    insert_exact(key);
+    insert_sparse(key);
   }
   if (exact_size_ > exact_limit_) promote();
 }
@@ -129,8 +152,17 @@ void CardinalityEstimator::add(std::uint64_t key) {
 std::vector<std::uint64_t> CardinalityEstimator::exact_keys() const {
   std::vector<std::uint64_t> keys;
   keys.reserve(exact_size_);
+  if (phase_ == Phase::Dense) {
+    for (std::size_t w = 0; w < table_.size(); ++w) {
+      for (std::uint64_t bits = table_[w]; bits != 0; bits &= bits - 1) {
+        keys.push_back(w * 64 +
+                       static_cast<std::uint64_t>(std::countr_zero(bits)));
+      }
+    }
+    return keys;
+  }
   if (has_zero_) keys.push_back(0);
-  for (const std::uint64_t k : slots_) {
+  for (const std::uint64_t k : table_) {
     if (k != 0) keys.push_back(k);
   }
   return keys;
@@ -143,25 +175,30 @@ void CardinalityEstimator::restore(bool promoted,
     throw std::invalid_argument(
         "CardinalityEstimator::restore: precision mismatch");
   }
-  promoted_ = promoted;
-  slots_.clear();
-  has_zero_ = false;
-  exact_size_ = 0;
+  if (promoted ? !exact.empty() : exact.size() > exact_limit_) {
+    throw std::invalid_argument(
+        "CardinalityEstimator::restore: exact keys inconsistent with phase");
+  }
   for (const std::uint64_t k : exact) {
-    if (k == 0) {
-      if (!has_zero_) {
-        has_zero_ = true;
-        ++exact_size_;
-      }
-    } else {
-      insert_exact(k);
+    if (key_bound_ != 0 && k >= key_bound_) {
+      throw std::invalid_argument(
+          "CardinalityEstimator::restore: key outside the key bound");
     }
   }
+  phase_ = Phase::Sparse;
+  table_.clear();
+  has_zero_ = false;
+  exact_size_ = 0;
+  // Re-adding through the live path lands in the representation the
+  // original run held (the switch depends only on the key set), and
+  // cannot promote: the count is within the limit.
+  for (const std::uint64_t k : exact) add(k);
+  if (promoted) phase_ = Phase::Sketch;
   sketch_ = std::move(sketch);
 }
 
 std::uint64_t CardinalityEstimator::estimate() const {
-  if (!promoted_) return exact_size_;
+  if (phase_ != Phase::Sketch) return exact_size_;
   return static_cast<std::uint64_t>(std::llround(sketch_.estimate()));
 }
 

@@ -24,7 +24,9 @@ struct AggregatorConfig {
   /// Unique-destination tracking stays exact up to this many distinct
   /// destinations per event, then degrades to an HLL estimate. The default
   /// keeps the Definition-1 10%-dispersion decision exact for darknets up
-  /// to ~160k addresses.
+  /// to ~160k addresses. Below the limit the exact set lives in a hash
+  /// table or, once that would outgrow it, in a bitmap over the dark
+  /// space (DESIGN.md §17) — chosen from the darknet size, not a setting.
   std::size_t exact_dest_limit = 16384;
   int hll_precision = 12;
   /// How often (in event time) the lazy expiry sweep runs.
@@ -44,6 +46,13 @@ struct AggregatorConfig {
 /// `sweep_interval` of stream time. The sweep compares against packet
 /// timestamps, so events are emitted with exact start/end times regardless
 /// of when the sweep happens to run.
+///
+/// Every scanning packet adds its destination's dark-space offset to its
+/// event's exact unique-destination set (Definition 1 needs the exact
+/// count). The darknet size bounds those offsets, so a large event's set
+/// switches from a hash table to a bitmap over the dark space — one bit
+/// test-and-set per packet — and restore() rejects exact keys that are
+/// unsorted, duplicated, or outside the dark space (DESIGN.md §17).
 class EventAggregator {
  public:
   EventAggregator(net::PrefixSet dark_space, AggregatorConfig config,
@@ -112,10 +121,15 @@ class EventAggregator {
     ToolPackets packets_by_tool{};
     stats::CardinalityEstimator dests;
 
-    explicit LiveEvent(std::size_t exact_limit, int hll_precision)
-        : dests(exact_limit, hll_precision) {}
+    /// Destination keys are dark-space offsets, all below the darknet
+    /// size — the key bound that lets a large event's exact set switch to
+    /// a bitmap over the dark space (DESIGN.md §17).
+    LiveEvent(std::size_t exact_limit, int hll_precision,
+              std::uint64_t darknet_size)
+        : dests(exact_limit, hll_precision, darknet_size) {}
   };
 
+  LiveEvent new_live_event() const;
   void emit(const EventKey& key, const LiveEvent& live);
   void sweep(net::SimTime now);
   void batch_sweep(net::SimTime now);

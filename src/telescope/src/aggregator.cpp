@@ -68,10 +68,7 @@ void EventAggregator::observe(const pkt::Packet& packet) {
     live = nullptr;
   }
   if (live == nullptr) {
-    live = live_
-               .try_emplace(key, LiveEvent(config_.exact_dest_limit,
-                                           config_.hll_precision))
-               .first;
+    live = live_.try_emplace(key, new_live_event()).first;
     live->start = packet.timestamp;
   }
   live->last_seen = packet.timestamp;
@@ -198,11 +195,7 @@ void EventAggregator::observe_batch(const pkt::PacketBatch& batch,
     const std::size_t new_bucket =
         static_cast<std::size_t>(g - aux_base_granule_);
     if (live == nullptr) {
-      live = live_
-                 .try_emplace_hashed(key, hash,
-                                     LiveEvent(config_.exact_dest_limit,
-                                               config_.hll_precision))
-                 .first;
+      live = live_.try_emplace_hashed(key, hash, new_live_event()).first;
       live->start = ts;
       aux_wheel_[new_bucket].emplace_back(key, hash);
     } else {
@@ -383,6 +376,11 @@ void EventAggregator::finish() {
   aux_valid_ = false;
 }
 
+EventAggregator::LiveEvent EventAggregator::new_live_event() const {
+  return LiveEvent(config_.exact_dest_limit, config_.hll_precision,
+                   dark_space_.total_addresses());
+}
+
 void EventAggregator::emit(const EventKey& key, const LiveEvent& live) {
   DarknetEvent event;
   event.key = key;
@@ -491,7 +489,7 @@ void EventAggregator::restore(CheckpointReader& reader) {
       throw std::runtime_error("checkpoint: bad traffic type");
     }
     key.type = static_cast<pkt::TrafficType>(type);
-    LiveEvent live(config_.exact_dest_limit, config_.hll_precision);
+    LiveEvent live = new_live_event();
     live.start = net::SimTime::at(net::Duration::nanos(reader.i64("event start")));
     live.last_seen =
         net::SimTime::at(net::Duration::nanos(reader.i64("event last seen")));
@@ -502,10 +500,23 @@ void EventAggregator::restore(CheckpointReader& reader) {
     if (exact_count > config_.exact_dest_limit) {
       throw std::runtime_error("checkpoint: exact key count over limit");
     }
+    if (promoted && exact_count != 0) {
+      throw std::runtime_error("checkpoint: exact keys beside a promoted sketch");
+    }
+    // Writers emit the keys sorted and distinct, each a dark-space
+    // offset; anything else is corruption (a duplicate would silently
+    // shrink the count, an out-of-range key would index past the bitmap).
     std::vector<std::uint64_t> exact;
     exact.reserve(static_cast<std::size_t>(exact_count));
     for (std::uint64_t k = 0; k < exact_count; ++k) {
-      exact.push_back(reader.u64("exact key"));
+      const std::uint64_t key = reader.u64("exact key");
+      if (!exact.empty() && key <= exact.back()) {
+        throw std::runtime_error("checkpoint: exact keys not strictly ascending");
+      }
+      if (key >= dark_space_.total_addresses()) {
+        throw std::runtime_error("checkpoint: exact key outside the dark space");
+      }
+      exact.push_back(key);
     }
     stats::HyperLogLog sketch(config_.hll_precision);
     sketch.set_registers(reader.bytes(sketch.registers().size(), "hll registers"));

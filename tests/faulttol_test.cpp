@@ -566,6 +566,75 @@ TEST(CrashResume, CaptureRejectsDarkSpaceMismatch) {
   EXPECT_THROW(capture.restore(reader), std::runtime_error);
 }
 
+// Corrupt exact destination keys inside an otherwise valid, CRC-correct
+// frame (a writer bug or a tampered file, not a torn write). Checkpoints
+// write each live event's exact keys sorted and distinct, every one a
+// dark-space offset; restore must refuse anything else rather than shrink
+// the count (duplicate) or index past the dense bitmap (out of range).
+TEST(CrashResume, AggregatorRejectsCorruptExactKeys) {
+  const auto checkpoint_of = [] {
+    telescope::EventAggregator aggregator(dark_space(), fast_config(), {});
+    pkt::ProbeBuilder builder(ip("203.0.113.9"), pkt::ScanTool::ZMap, net::Rng(5));
+    std::int64_t second = 0;
+    for (const std::uint32_t offset : {20u, 3u, 9u}) {
+      aggregator.observe(builder.tcp_syn(
+          net::SimTime::epoch() + net::Duration::seconds(++second),
+          net::Ipv4Address(ip("198.18.0.0").value() + offset), 23));
+    }
+    CheckpointWriter writer;
+    aggregator.checkpoint(writer);
+    std::stringstream out;
+    writer.finish(out);
+    return out.str();
+  };
+  const std::string frame = checkpoint_of();
+  // OCP1: 4-byte magic, version u64, length u64, payload, CRC-32.
+  std::vector<std::uint8_t> payload(frame.begin() + 20, frame.end() - 4);
+  const auto le = [](std::initializer_list<std::uint64_t> words) {
+    std::vector<std::uint8_t> out;
+    for (const std::uint64_t w : words) {
+      for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
+    }
+    return out;
+  };
+  // The event's exact-key run: count 3, then keys 3, 9, 20 ascending.
+  const std::vector<std::uint8_t> run = le({3, 3, 9, 20});
+  const auto at = std::search(payload.begin(), payload.end(), run.begin(), run.end());
+  ASSERT_NE(at, payload.end());
+  const auto offset = at - payload.begin();
+  const auto reframe = [&](const std::vector<std::uint8_t>& keys) {
+    std::vector<std::uint8_t> bad = payload;
+    std::copy(keys.begin(), keys.end(), bad.begin() + offset);
+    CheckpointWriter writer;
+    writer.bytes(bad);
+    std::stringstream out;
+    writer.finish(out);
+    return out.str();
+  };
+  const auto restores = [](const std::string& bytes) {
+    std::stringstream in(bytes);
+    CheckpointReader reader(in);
+    telescope::EventAggregator aggregator(dark_space(), fast_config(), {});
+    aggregator.restore(reader);
+    return aggregator.live_events();
+  };
+  ASSERT_EQ(reframe(run), frame);  // the re-framing itself is faithful
+  EXPECT_EQ(restores(frame), 1u);
+
+  const struct {
+    const char* name;
+    std::vector<std::uint8_t> keys;
+  } corpus[] = {
+      {"duplicate key", le({3, 3, 9, 9})},
+      {"descending keys", le({3, 9, 3, 20})},
+      {"key outside the dark space", le({3, 3, 9, 256})},
+  };
+  for (const auto& corruption : corpus) {
+    EXPECT_THROW(restores(reframe(corruption.keys)), std::runtime_error)
+        << corruption.name;
+  }
+}
+
 // Streaming-detector workload: multi-day background + aggressive sources,
 // sorted by start time (as the capture layer guarantees).
 std::vector<telescope::DarknetEvent> streaming_events() {

@@ -10,6 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <set>
+#include <string>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -25,6 +29,7 @@
 #include "orion/telescope/checkpoint.hpp"
 #include "orion/telescope/parallel.hpp"
 #include "orion/telescope/spsc_ring.hpp"
+#include "orion/telescope/store.hpp"
 
 namespace orion {
 namespace {
@@ -191,18 +196,34 @@ TEST(PacketBatch, RoundTripIsLossless) {
   }
 }
 
-TEST(PacketBatch, AppendRecordCopiesAllColumns) {
+TEST(PacketBatch, GatherRowsCopiesAllColumns) {
   std::mt19937_64 rng(2);
   pkt::PacketBatch source;
   for (int i = 0; i < 64; ++i) source.push_back(random_packet(rng));
-  pkt::PacketBatch scattered;
-  // Scatter in a shuffled order, the way the pipeline dispatcher does.
-  std::vector<std::size_t> order(source.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // Gather in a shuffled order, in ragged pieces, the way the pipeline
+  // dispatcher fills a shard's pending batch.
+  std::vector<std::uint32_t> order(source.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<std::uint32_t>(i);
+  }
   std::shuffle(order.begin(), order.end(), rng);
-  for (const std::size_t i : order) scattered.append_record(source, i);
+  pkt::PacketBatch scattered;
+  const std::span<const std::uint32_t> rows(order);
+  scattered.append_rows(source, rows.first(0));
+  scattered.append_rows(source, rows.first(5));
+  scattered.append_rows(source, rows.subspan(5));
+  ASSERT_EQ(scattered.size(), order.size());
   for (std::size_t j = 0; j < order.size(); ++j) {
     EXPECT_TRUE(same_packet(scattered.packet_at(j), source.packet_at(order[j])));
+  }
+  // A range append is the identity gather over [first, first + count).
+  pkt::PacketBatch ranged;
+  ranged.append_range(source, 3, 0);
+  ranged.append_range(source, 3, 20);
+  ranged.append_range(source, 23, source.size() - 23);
+  ASSERT_EQ(ranged.size(), source.size() - 3);
+  for (std::size_t j = 0; j < ranged.size(); ++j) {
+    EXPECT_TRUE(same_packet(ranged.packet_at(j), source.packet_at(j + 3)));
   }
 }
 
@@ -682,6 +703,238 @@ TEST(CardinalityEstimatorFlatSet, MatchesReferenceSetAndOrderInvariant) {
                      forward.sketch());
     EXPECT_EQ(restored.estimate(), forward.estimate());
     restored.add(999999);  // stays usable after restore
+  }
+}
+
+// ------------------------------------- dense exact phase (DESIGN.md §17)
+
+/// Model check of the estimator against std::set at the key bounds the
+/// aggregator passes (none; small, /17 and ORION-sized darknets; a /8 whose
+/// bitmap outsizes any table): after every add — including the add that
+/// switches to the bitmap and the one that promotes — estimate() and
+/// is_exact() match the model and a bound-less twin fed the same keys;
+/// at probe points the exact key sets agree and a checkpoint-shaped
+/// restore round-trips; from promotion on the HLL registers are identical.
+TEST(CardinalityEstimatorDense, ModelCheckAcrossKeyBounds) {
+  const std::uint64_t bounds[] = {0, 1024, 32768, 475000, std::uint64_t{1} << 24};
+  for (const std::uint64_t bound : bounds) {
+    SCOPED_TRACE("key bound " + std::to_string(bound));
+    // The aggregator's default limit; the 1024-key space needs a lower
+    // one to reach promotion at all.
+    const std::size_t limit = bound == 1024 ? 600 : 16384;
+    stats::CardinalityEstimator est(limit, 12, bound);
+    stats::CardinalityEstimator twin(limit, 12);
+    std::set<std::uint64_t> model;
+    std::vector<std::uint64_t> seen;
+    std::mt19937_64 rng(bound + 11);
+    bool went_dense = false;
+    std::size_t next_probe = 1;
+
+    const auto sorted_keys = [](const stats::CardinalityEstimator& e) {
+      std::vector<std::uint64_t> keys = e.exact_keys();
+      std::sort(keys.begin(), keys.end());
+      return keys;
+    };
+    const auto probe = [&] {
+      const std::vector<std::uint64_t> want(model.begin(), model.end());
+      if (est.is_exact()) {
+        ASSERT_EQ(sorted_keys(est), want);
+        ASSERT_EQ(sorted_keys(twin), want);
+      }
+      stats::CardinalityEstimator restored(limit, 12, bound);
+      restored.restore(!est.is_exact(), est.exact_keys(), est.sketch());
+      ASSERT_EQ(restored.estimate(), est.estimate());
+      ASSERT_EQ(restored.is_exact(), est.is_exact());
+      ASSERT_EQ(restored.is_dense(), est.is_dense());
+      ASSERT_EQ(sorted_keys(restored), sorted_keys(est));
+      ASSERT_EQ(restored.sketch().registers(), est.sketch().registers());
+    };
+
+    for (std::size_t i = 0; model.size() <= limit + 300; ++i) {
+      std::uint64_t key;
+      if (i == 3) {
+        key = 0;
+      } else if (i == 5 && bound != 0) {
+        key = bound - 1;
+      } else if (i % 5 == 4 && !seen.empty()) {
+        key = seen[rng() % seen.size()];  // a duplicate
+      } else {
+        key = bound == 0 ? rng() >> (rng() % 64) : rng() % bound;
+      }
+      const bool was_dense = est.is_dense();
+      const bool was_exact = est.is_exact();
+      est.add(key);
+      twin.add(key);
+      if (model.insert(key).second) seen.push_back(key);
+
+      ASSERT_EQ(est.is_exact(), model.size() <= limit) << "add " << i;
+      ASSERT_EQ(est.estimate(), twin.estimate()) << "add " << i;
+      ASSERT_EQ(est.is_exact(), twin.is_exact()) << "add " << i;
+      ASSERT_FALSE(twin.is_dense());
+      if (est.is_exact()) {
+        ASSERT_EQ(est.estimate(), model.size());
+      }
+      if (!est.is_exact()) {
+        ASSERT_EQ(est.sketch().registers(), twin.sketch().registers())
+            << "add " << i;
+      }
+      went_dense = went_dense || est.is_dense();
+      const bool switched = was_dense != est.is_dense();
+      const bool promoted_now = was_exact != est.is_exact();
+      if (switched || promoted_now || model.size() >= next_probe) {
+        probe();
+        if (HasFatalFailure()) return;
+        while (next_probe <= model.size()) next_probe *= 2;
+      }
+    }
+    EXPECT_FALSE(est.is_exact());
+    // Dense exactly when a bitmap over the bound is smaller than the
+    // table would grow to below the limit.
+    EXPECT_EQ(went_dense, bound == 1024 || bound == 32768 || bound == 475000);
+
+    if (bound != 0) {
+      EXPECT_THROW(est.add(bound), std::out_of_range);
+      stats::CardinalityEstimator fresh(limit, 12, bound);
+      EXPECT_THROW(fresh.add(bound), std::out_of_range);
+      EXPECT_THROW(fresh.restore(false, {1, bound}, stats::HyperLogLog(12)),
+                   std::invalid_argument);
+    }
+    stats::CardinalityEstimator fresh(limit, 12, bound);
+    EXPECT_THROW(fresh.restore(true, {1}, stats::HyperLogLog(12)),
+                 std::invalid_argument);
+  }
+}
+
+// ------------------------------------- column-gather dispatcher (§17.2)
+
+struct PipelineOutcome {
+  std::string dataset_bytes;
+  std::vector<detect::StreamingDayResult> days;
+  std::array<std::vector<std::uint32_t>, 3> ips;
+  std::string mid_checkpoint;    // pipeline checkpoint at half the stream
+  std::string final_checkpoint;  // after every packet, before finish()
+  std::uint64_t restarts = 0;
+
+  bool same_output(const PipelineOutcome& o) const {
+    return dataset_bytes == o.dataset_bytes && days == o.days && ips == o.ips;
+  }
+};
+
+std::string pipeline_checkpoint(telescope::ParallelPipeline& pipeline) {
+  telescope::CheckpointWriter writer;
+  pipeline.checkpoint(writer);
+  std::ostringstream out;
+  writer.finish(out);
+  return out.str();
+}
+
+/// A PPL2 checkpoint frame minus the fields a healed run legitimately
+/// changes: its worker_restarts count and the CRC trailer covering it.
+/// Layout: 20-byte OCP1 header, then tag, shards, darknet size (u64 each),
+/// saw_packet (u8), last timestamp, ingested, shed, stalls, restarts.
+std::string without_restart_ledger(const std::string& frame) {
+  constexpr std::size_t kRestarts = 20 + 3 * 8 + 1 + 4 * 8;
+  return frame.substr(0, kRestarts) +
+         frame.substr(kRestarts + 8, frame.size() - 4 - (kRestarts + 8));
+}
+
+/// Feeds `packets` through a pipeline: per-record observe() when `sizes`
+/// is empty, else observe_batch() in incoming batches cycling through
+/// `sizes`. Checkpoints mid-stream and at the end of the stream.
+PipelineOutcome pipeline_outcome(const std::vector<pkt::Packet>& packets,
+                                 const telescope::ParallelConfig& config,
+                                 const std::vector<std::size_t>& sizes) {
+  telescope::ParallelPipeline pipeline(scenario().darknet(), config);
+  PipelineOutcome out;
+  const std::size_t half = packets.size() / 2;
+  pkt::PacketBatch batch;
+  std::size_t cycle = 0;
+  const auto feed = [&](std::size_t from, std::size_t to) {
+    if (sizes.empty()) {
+      for (std::size_t i = from; i < to; ++i) pipeline.observe(packets[i]);
+      return;
+    }
+    for (std::size_t i = from; i < to;) {
+      const std::size_t size = sizes[cycle++ % sizes.size()];
+      batch.clear();
+      for (std::size_t j = 0; j < size && i < to; ++j, ++i) {
+        batch.push_back(packets[i]);
+      }
+      pipeline.observe_batch(batch);
+    }
+  };
+  feed(0, half);
+  out.mid_checkpoint = pipeline_checkpoint(pipeline);
+  feed(half, packets.size());
+  out.final_checkpoint = pipeline_checkpoint(pipeline);
+  telescope::ParallelResult result = pipeline.finish();
+  std::ostringstream bytes;
+  telescope::write_events_binary(result.dataset, bytes);
+  out.dataset_bytes = bytes.str();
+  out.days = std::move(result.days);
+  for (std::size_t d = 0; d < 3; ++d) {
+    for (const net::Ipv4Address ip : result.ips[d]) out.ips[d].push_back(ip.value());
+    std::sort(out.ips[d].begin(), out.ips[d].end());
+  }
+  out.restarts = result.health.worker_restarts;
+  return out;
+}
+
+TEST(ParallelPipelineBatch, ColumnScatterIsByteIdenticalToRecordAtATime) {
+  // Every 7th packet is re-aimed outside the dark space, so the gathered
+  // membership column has both values and must travel with its record.
+  std::vector<pkt::Packet> packets = scangen_stream(1);
+  for (std::size_t i = 3; i < packets.size(); i += 7) {
+    packets[i].tuple.dst = net::Ipv4Address(0xCB007100u + static_cast<std::uint32_t>(i % 256));
+  }
+  telescope::ParallelConfig base;
+  base.aggregator.timeout = scenario().event_timeout();
+  base.detector.base = {.dispersion_threshold = scenario().config().def1_dispersion,
+                        .packet_volume_alpha = scenario().config().def2_alpha,
+                        .port_count_alpha = scenario().config().def3_alpha};
+  base.detector.warmup_samples = 500;
+  base.ring_capacity = 8;
+
+  base.shards = 1;
+  const PipelineOutcome serial = pipeline_outcome(packets, base, {});
+  const std::vector<std::size_t> ragged = {1, 333, 7, 4096, 0, 64, 1000, 2};
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                   std::size_t{4}, std::size_t{8}}) {
+    telescope::ParallelConfig config = base;
+    config.shards = shards;
+    // Reference: record-at-a-time observe(), which fills the pending
+    // batches row by row.
+    const PipelineOutcome reference = pipeline_outcome(packets, config, {});
+    EXPECT_TRUE(reference.same_output(serial)) << shards << " shards";
+    for (const std::size_t batch_size : {std::size_t{1}, std::size_t{7},
+                                         std::size_t{256}, std::size_t{4096}}) {
+      config.batch_size = batch_size;
+      const PipelineOutcome got = pipeline_outcome(packets, config, ragged);
+      SCOPED_TRACE(std::to_string(shards) + " shards, batch_size " +
+                   std::to_string(batch_size));
+      EXPECT_TRUE(got.same_output(reference));
+      EXPECT_EQ(got.mid_checkpoint, reference.mid_checkpoint);
+      EXPECT_EQ(got.final_checkpoint, reference.final_checkpoint);
+    }
+    // Supervised: every shard's worker dies once mid-stream and heals by
+    // snapshot restore plus replay of the scattered batches.
+    config.batch_size = 7;
+    config.supervisor.enabled = true;
+    config.supervisor.snapshot_interval = 4;
+    config.supervisor.backoff_base = std::chrono::microseconds(1);
+    config.supervisor.backoff_cap = std::chrono::microseconds(50);
+    std::vector<std::atomic<bool>> killed(shards);
+    config.supervisor.fault_hook = [&killed](std::size_t shard, std::uint64_t seq) {
+      if (seq == 9 && !killed[shard].exchange(true)) {
+        throw std::runtime_error("injected worker death");
+      }
+    };
+    const PipelineOutcome healed = pipeline_outcome(packets, config, ragged);
+    EXPECT_EQ(healed.restarts, shards) << shards << " shards";
+    EXPECT_TRUE(healed.same_output(reference)) << shards << " shards";
+    EXPECT_EQ(without_restart_ledger(healed.final_checkpoint),
+              without_restart_ledger(reference.final_checkpoint))
+        << shards << " shards";
   }
 }
 
